@@ -37,15 +37,35 @@ fn dataguide_build(c: &mut Criterion) {
 }
 
 fn xpath_eval(c: &mut Criterion) {
-    let doc = generate(XmarkConfig::sized(200_000, 3)).parse();
+    let xmark = generate(XmarkConfig::sized(200_000, 3));
+    let doc = xmark.parse();
+    // Ids from the middle of each entity list, as the workload picks them.
+    let mid = |ids: &[u64]| ids[ids.len() / 2];
     let queries = [
-        ("child_path", "/site/people/person/name"),
-        ("predicate", "/site/people/person[profile/age>40]/name"),
-        ("descendant", "//item/name"),
+        ("child_path", "/site/people/person/name".to_owned()),
+        (
+            "predicate",
+            "/site/people/person[profile/age>40]/name".to_owned(),
+        ),
+        ("descendant", "//item/name".to_owned()),
+        // The hot templates of the xmark-read pool.
+        (
+            "item_by_id",
+            format!("//item[id={}]/description", mid(&xmark.item_ids)),
+        ),
+        (
+            "person_by_id",
+            format!("/site/people/person[id={}]/name", mid(&xmark.person_ids)),
+        ),
+        (
+            "bidder_increase",
+            "/site/open_auctions/open_auction/bidder/increase".to_owned(),
+        ),
+        ("absent_name", "//nowhere/name".to_owned()),
     ];
     let mut group = c.benchmark_group("xpath_eval");
     for (name, q) in queries {
-        let query = Query::parse(q).unwrap();
+        let query = Query::parse(&q).unwrap();
         group.bench_function(name, |b| {
             b.iter(|| eval(black_box(&doc), black_box(&query)))
         });

@@ -88,7 +88,8 @@ impl TxnSpec {
 pub enum OpResult {
     /// Query: the string-values of the matched nodes.
     Query {
-        /// String-value of each matched node, in document order.
+        /// String-value of each matched node, in the order
+        /// [`dtx_xpath::eval`](mod@dtx_xpath::eval) returns the nodes.
         values: Vec<String>,
     },
     /// Update: number of document nodes affected.

@@ -1,202 +1,384 @@
 //! Query evaluation against an in-memory [`Document`].
 //!
-//! Evaluation is set-at-a-time: each step maps the current context set to
-//! the next, de-duplicating while preserving document order (important for
-//! `//` steps whose expansions overlap). Predicates are evaluated per
-//! context node by recursively evaluating their relative paths.
+//! Evaluation is set-at-a-time: each step maps the current context list to
+//! the next. The query is first resolved against the document's interner,
+//! so testing a node's name is one [`Symbol`] compare, and a name on the
+//! main path that the document never interned ends evaluation before any
+//! walk. Child and attribute steps push matches directly: the context list
+//! has no duplicates and distinct parents have disjoint children. Only a
+//! descendant step from more than one context de-duplicates, through a
+//! bitset over the arena, since nested contexts share descendants.
+//! Predicates are existential, so each is checked per node by a
+//! depth-first walk that stops at the first witness.
+//!
+//! # Result order
+//!
+//! A step emits its matches context by context, in the order the previous
+//! step produced the contexts, and each context's matches in document
+//! order. The result is therefore in document order unless a child or
+//! attribute step runs from nested contexts: `//a/b` on
+//! `<r><a><a><b>in</b></a><b>out</b></a></r>` returns the `b` holding
+//! `out` before the one holding `in`. Updates apply to their targets in
+//! this order.
 
 use crate::ast::{Axis, CmpOp, Literal, NodeTest, Predicate, Query, Step};
-use dtx_xml::{Document, NodeId};
-use std::collections::HashSet;
+use dtx_xml::{Document, Node, NodeId, NodeKind, Symbol};
+use std::borrow::Cow;
+use std::cmp::Ordering;
 
 /// Evaluates an absolute query against `doc`, returning matching nodes in
-/// document order.
+/// the order described in the [module docs](self).
 ///
 /// Per XPath semantics the first step is matched against the *root
 /// element*: `/products/...` requires the root to be labelled `products`.
 pub fn eval(doc: &Document, query: &Query) -> Vec<NodeId> {
-    let mut current: Vec<NodeId> = vec![];
-    for (i, step) in query.steps.iter().enumerate() {
-        current = if i == 0 {
-            step_from_virtual_root(doc, step)
-        } else {
-            apply_step(doc, &current, step)
-        };
-        if current.is_empty() {
-            break;
-        }
-    }
-    current
+    let Some(plan) = resolve_path(doc, &query.steps) else {
+        return Vec::new();
+    };
+    let Some((first, rest)) = plan.split_first() else {
+        return Vec::new();
+    };
+    run(doc, rest, step_from_virtual_root(doc, first))
 }
 
 /// The first step is matched against the virtual document root, whose only
 /// child is the root element.
-fn step_from_virtual_root(doc: &Document, step: &Step) -> Vec<NodeId> {
+fn step_from_virtual_root(doc: &Document, step: &RStep) -> Vec<NodeId> {
     let root = doc.root();
     let mut out = Vec::new();
-    match step.axis {
-        Axis::Child => {
-            if test_matches(doc, root, &step.test) {
-                out.push(root);
-            }
-        }
-        Axis::Descendant => {
-            for n in doc.descendants(root) {
-                if is_element_or_text(doc, n) && test_matches(doc, n, &step.test) {
-                    out.push(n);
-                }
-            }
-        }
-        Axis::Attribute => {
-            // `/@x` on the virtual root matches nothing (roots are elements).
-        }
+    let Ok(node) = doc.node(root) else {
+        return out;
+    };
+    // `/@x` matches nothing: the attribute axis admits no element.
+    if step.admits(doc, root, node) {
+        out.push(root);
     }
-    filter_by_predicate(doc, out, step.predicate.as_ref())
+    if step.axis == Axis::Descendant {
+        descend(doc, &node.children, step, &mut out, &mut None);
+    }
+    out
 }
 
 /// Evaluates a (relative) query starting from the given context nodes.
 pub fn eval_from(doc: &Document, context: &[NodeId], query: &Query) -> Vec<NodeId> {
-    let mut current = context.to_vec();
-    for step in &query.steps {
-        current = apply_step(doc, &current, step);
-        if current.is_empty() {
-            break;
-        }
+    if query.steps.is_empty() {
+        return context.to_vec();
     }
-    current
-}
-
-fn apply_step(doc: &Document, context: &[NodeId], step: &Step) -> Vec<NodeId> {
-    let mut out = Vec::new();
-    let mut seen = HashSet::new();
-    for &ctx in context {
-        match step.axis {
-            Axis::Child => {
-                if let Ok(children) = doc.children(ctx) {
-                    for &c in children {
-                        if is_element_or_text(doc, c) && test_matches(doc, c, &step.test) {
-                            push_unique(&mut out, &mut seen, c);
-                        }
-                    }
-                }
-            }
-            Axis::Descendant => {
-                // descendant-or-self on children: all strict descendants.
-                for n in doc.descendants(ctx).skip(1) {
-                    if is_element_or_text(doc, n) && test_matches(doc, n, &step.test) {
-                        push_unique(&mut out, &mut seen, n);
-                    }
-                }
-            }
-            Axis::Attribute => {
-                if let Ok(children) = doc.children(ctx) {
-                    for &c in children {
-                        let is_attr = doc.node(c).map(|n| n.is_attribute()).unwrap_or(false);
-                        if is_attr && test_matches(doc, c, &step.test) {
-                            push_unique(&mut out, &mut seen, c);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    filter_by_predicate(doc, out, step.predicate.as_ref())
-}
-
-fn push_unique(out: &mut Vec<NodeId>, seen: &mut HashSet<NodeId>, n: NodeId) {
-    if seen.insert(n) {
-        out.push(n);
-    }
-}
-
-fn is_element_or_text(doc: &Document, n: NodeId) -> bool {
-    doc.node(n)
-        .map(|node| !node.is_attribute())
-        .unwrap_or(false)
-}
-
-fn test_matches(doc: &Document, n: NodeId, test: &NodeTest) -> bool {
-    let Ok(node) = doc.node(n) else { return false };
-    match test {
-        NodeTest::Wildcard => node.is_element(),
-        NodeTest::Text => node.is_text(),
-        NodeTest::Name(name) => match node.kind.label() {
-            Some(sym) => doc.interner().resolve(sym) == name,
-            None => false,
-        },
-    }
-}
-
-fn filter_by_predicate(
-    doc: &Document,
-    nodes: Vec<NodeId>,
-    pred: Option<&Predicate>,
-) -> Vec<NodeId> {
-    match pred {
-        None => nodes,
-        Some(p) => nodes
-            .into_iter()
-            .filter(|&n| matches_predicate(doc, n, p))
-            .collect(),
-    }
+    let Some(plan) = resolve_path(doc, &query.steps) else {
+        return Vec::new();
+    };
+    // Steps assume a duplicate-free context; a repeated or stale context
+    // node adds no match.
+    let mut seen = Seen::new(doc.arena_len());
+    let context = context
+        .iter()
+        .copied()
+        .filter(|&n| doc.is_live(n) && seen.insert(n))
+        .collect();
+    run(doc, &plan, context)
 }
 
 /// Evaluates a predicate with `n` as the context node.
 pub fn matches_predicate(doc: &Document, n: NodeId, pred: &Predicate) -> bool {
-    match pred {
-        Predicate::Exists(path) => !eval_from(doc, &[n], path).is_empty(),
-        Predicate::Cmp { path, op, value } => {
-            let targets = eval_from(doc, &[n], path);
-            // XPath existential semantics: true if ANY target compares true.
-            targets.iter().any(|&t| compare_node(doc, t, *op, value))
-        }
-        Predicate::And(a, b) => matches_predicate(doc, n, a) && matches_predicate(doc, n, b),
-        Predicate::Or(a, b) => matches_predicate(doc, n, a) || matches_predicate(doc, n, b),
-        Predicate::Not(p) => !matches_predicate(doc, n, p),
-    }
-}
-
-fn compare_node(doc: &Document, n: NodeId, op: CmpOp, value: &Literal) -> bool {
-    let actual = string_value(doc, n);
-    match value {
-        Literal::Str(expected) => {
-            let ord = actual.as_str().cmp(expected.as_str());
-            ord_matches(op, ord)
-        }
-        Literal::Number(expected) => match actual.trim().parse::<f64>() {
-            Ok(v) => match v.partial_cmp(expected) {
-                Some(ord) => ord_matches(op, ord),
-                None => false,
-            },
-            // Non-numeric string-values never compare true to numbers.
-            Err(_) => false,
-        },
-    }
-}
-
-fn ord_matches(op: CmpOp, ord: std::cmp::Ordering) -> bool {
-    use std::cmp::Ordering::*;
-    matches!(
-        (op, ord),
-        (CmpOp::Eq, Equal)
-            | (CmpOp::Ne, Less)
-            | (CmpOp::Ne, Greater)
-            | (CmpOp::Lt, Less)
-            | (CmpOp::Le, Less)
-            | (CmpOp::Le, Equal)
-            | (CmpOp::Gt, Greater)
-            | (CmpOp::Ge, Greater)
-            | (CmpOp::Ge, Equal)
-    )
+    resolve_pred(doc, pred).holds(doc, n)
 }
 
 /// XPath string-value of a node: concatenated descendant text for
 /// elements, the value itself for attributes/text.
 pub fn string_value(doc: &Document, n: NodeId) -> String {
-    match doc.node(n) {
-        Ok(node) if node.is_element() => doc.text_of(n).unwrap_or_default(),
-        Ok(node) => node.kind.value().unwrap_or("").to_owned(),
-        Err(_) => String::new(),
+    text(doc, n).into_owned()
+}
+
+/// A node test resolved against one document's interner.
+#[derive(Clone, Copy)]
+enum Test {
+    /// `NodeTest::Name`: an element (an attribute, on the attribute axis)
+    /// with this label.
+    Name(Symbol),
+    /// `*`: any element.
+    Element,
+    /// `text()`: any text node.
+    Text,
+}
+
+impl Test {
+    /// `None` for a name the document never interned: no node carries it.
+    fn resolve(doc: &Document, test: &NodeTest) -> Option<Test> {
+        Some(match test {
+            NodeTest::Name(name) => Test::Name(doc.interner().get(name)?),
+            NodeTest::Wildcard => Test::Element,
+            NodeTest::Text => Test::Text,
+        })
+    }
+
+    /// Whether `node` passes this test on `axis`. The attribute axis only
+    /// admits attributes and only by name; the other axes never admit
+    /// attributes.
+    fn accepts(self, axis: Axis, node: &Node) -> bool {
+        match (&node.kind, self) {
+            (NodeKind::Attribute { label, .. }, Test::Name(s)) => {
+                axis == Axis::Attribute && *label == s
+            }
+            _ if axis == Axis::Attribute => false,
+            (NodeKind::Element { label }, Test::Name(s)) => *label == s,
+            (NodeKind::Element { .. }, Test::Element) | (NodeKind::Text { .. }, Test::Text) => true,
+            _ => false,
+        }
+    }
+}
+
+/// A [`Step`] resolved against one document.
+struct RStep<'q> {
+    axis: Axis,
+    test: Test,
+    pred: Option<Pred<'q>>,
+}
+
+impl RStep<'_> {
+    /// Whether node `n` (stored as `node`) passes the test and predicate.
+    fn admits(&self, doc: &Document, n: NodeId, node: &Node) -> bool {
+        self.test.accepts(self.axis, node) && self.holds(doc, n)
+    }
+
+    fn holds(&self, doc: &Document, n: NodeId) -> bool {
+        self.pred.as_ref().is_none_or(|p| p.holds(doc, n))
+    }
+}
+
+/// A [`Predicate`] resolved against one document.
+enum Pred<'q> {
+    /// A path through a name the document never interned: reaches nothing.
+    Never,
+    Exists(Vec<RStep<'q>>),
+    Cmp {
+        path: Vec<RStep<'q>>,
+        op: CmpOp,
+        value: &'q Literal,
+    },
+    And(Box<Pred<'q>>, Box<Pred<'q>>),
+    Or(Box<Pred<'q>>, Box<Pred<'q>>),
+    Not(Box<Pred<'q>>),
+}
+
+impl Pred<'_> {
+    fn holds(&self, doc: &Document, n: NodeId) -> bool {
+        match self {
+            Pred::Never => false,
+            Pred::Exists(path) => reaches(doc, n, path, &|_| true),
+            // XPath existential semantics: true if ANY target compares true.
+            Pred::Cmp { path, op, value } => {
+                reaches(doc, n, path, &|t| compare(doc, t, *op, value))
+            }
+            Pred::And(a, b) => a.holds(doc, n) && b.holds(doc, n),
+            Pred::Or(a, b) => a.holds(doc, n) || b.holds(doc, n),
+            Pred::Not(p) => !p.holds(doc, n),
+        }
+    }
+}
+
+/// `None` when a step names a label the document never interned.
+fn resolve_path<'q>(doc: &Document, steps: &'q [Step]) -> Option<Vec<RStep<'q>>> {
+    steps
+        .iter()
+        .map(|s| {
+            Some(RStep {
+                axis: s.axis,
+                test: Test::resolve(doc, &s.test)?,
+                pred: s.predicate.as_ref().map(|p| resolve_pred(doc, p)),
+            })
+        })
+        .collect()
+}
+
+fn resolve_pred<'q>(doc: &Document, pred: &'q Predicate) -> Pred<'q> {
+    let boxed = |p| Box::new(resolve_pred(doc, p));
+    match pred {
+        Predicate::Exists(path) => resolve_path(doc, &path.steps).map_or(Pred::Never, Pred::Exists),
+        Predicate::Cmp { path, op, value } => {
+            resolve_path(doc, &path.steps).map_or(Pred::Never, |path| Pred::Cmp {
+                path,
+                op: *op,
+                value,
+            })
+        }
+        Predicate::And(a, b) => Pred::And(boxed(a), boxed(b)),
+        Predicate::Or(a, b) => Pred::Or(boxed(a), boxed(b)),
+        Predicate::Not(p) => Pred::Not(boxed(p)),
+    }
+}
+
+fn run(doc: &Document, plan: &[RStep], mut current: Vec<NodeId>) -> Vec<NodeId> {
+    for step in plan {
+        if current.is_empty() {
+            break;
+        }
+        current = apply_step(doc, &current, step);
+    }
+    current
+}
+
+/// Maps a duplicate-free context list through one step; the result is
+/// duplicate-free too.
+fn apply_step(doc: &Document, context: &[NodeId], step: &RStep) -> Vec<NodeId> {
+    let mut out = Vec::new();
+    if step.axis == Axis::Descendant {
+        // Only nested contexts can reach a node twice.
+        let mut seen = (context.len() > 1).then(|| Seen::new(doc.arena_len()));
+        for &ctx in context {
+            if let Ok(node) = doc.node(ctx) {
+                descend(doc, &node.children, step, &mut out, &mut seen);
+            }
+        }
+    } else {
+        for &ctx in context {
+            let Ok(node) = doc.node(ctx) else { continue };
+            for &c in &node.children {
+                if doc.node(c).is_ok_and(|child| step.admits(doc, c, child)) {
+                    out.push(c);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Pushes, in document order, every node in the subtrees of `children`
+/// that passes `step` and is not yet in `seen`.
+fn descend(
+    doc: &Document,
+    children: &[NodeId],
+    step: &RStep,
+    out: &mut Vec<NodeId>,
+    seen: &mut Option<Seen>,
+) {
+    for &c in children {
+        let Ok(node) = doc.node(c) else { continue };
+        if step.test.accepts(Axis::Descendant, node)
+            && seen.as_mut().is_none_or(|s| s.insert(c))
+            && step.holds(doc, c)
+        {
+            out.push(c);
+        }
+        if !node.children.is_empty() {
+            descend(doc, &node.children, step, out, seen);
+        }
+    }
+}
+
+/// Whether some node reached from `ctx` along `path` satisfies `hit`.
+fn reaches(doc: &Document, ctx: NodeId, path: &[RStep], hit: &impl Fn(NodeId) -> bool) -> bool {
+    // Along two descendant steps a depth-first walk would revisit the
+    // subtrees of nested matches; evaluate such paths set-at-a-time.
+    if path.iter().filter(|s| s.axis == Axis::Descendant).count() > 1 {
+        return run(doc, path, vec![ctx]).into_iter().any(hit);
+    }
+    walk(doc, ctx, path, hit)
+}
+
+fn walk(doc: &Document, ctx: NodeId, path: &[RStep], hit: &impl Fn(NodeId) -> bool) -> bool {
+    let Some((step, rest)) = path.split_first() else {
+        return hit(ctx);
+    };
+    let Ok(node) = doc.node(ctx) else {
+        return false;
+    };
+    if step.axis == Axis::Descendant {
+        walk_below(doc, &node.children, step, rest, hit)
+    } else {
+        node.children.iter().any(|&c| {
+            doc.node(c)
+                .is_ok_and(|child| step.admits(doc, c, child) && walk(doc, c, rest, hit))
+        })
+    }
+}
+
+/// [`walk`] for a descendant `step` over the subtrees of `children`.
+fn walk_below(
+    doc: &Document,
+    children: &[NodeId],
+    step: &RStep,
+    rest: &[RStep],
+    hit: &impl Fn(NodeId) -> bool,
+) -> bool {
+    children.iter().any(|&c| {
+        doc.node(c).is_ok_and(|node| {
+            (step.admits(doc, c, node) && walk(doc, c, rest, hit))
+                || walk_below(doc, &node.children, step, rest, hit)
+        })
+    })
+}
+
+fn compare(doc: &Document, n: NodeId, op: CmpOp, value: &Literal) -> bool {
+    let actual = text(doc, n);
+    let ord = match value {
+        Literal::Str(expected) => Some(actual.as_ref().cmp(expected.as_str())),
+        // Non-numeric string-values never compare true to numbers.
+        Literal::Number(expected) => actual
+            .trim()
+            .parse::<f64>()
+            .ok()
+            .and_then(|v| v.partial_cmp(expected)),
+    };
+    ord.is_some_and(|ord| match op {
+        CmpOp::Eq => ord == Ordering::Equal,
+        CmpOp::Ne => ord != Ordering::Equal,
+        CmpOp::Lt => ord == Ordering::Less,
+        CmpOp::Le => ord != Ordering::Greater,
+        CmpOp::Gt => ord == Ordering::Greater,
+        CmpOp::Ge => ord != Ordering::Less,
+    })
+}
+
+/// String-value of `n`, borrowed where the node stores it whole:
+/// attributes, text nodes, and elements with no children or exactly one
+/// text child.
+fn text(doc: &Document, n: NodeId) -> Cow<'_, str> {
+    let Ok(node) = doc.node(n) else {
+        return Cow::Borrowed("");
+    };
+    if let Some(value) = node.kind.value() {
+        return Cow::Borrowed(value);
+    }
+    if let [only] = node.children[..] {
+        if let Ok(Node {
+            kind: NodeKind::Text { value },
+            ..
+        }) = doc.node(only)
+        {
+            return Cow::Borrowed(value);
+        }
+    }
+    let mut out = String::new();
+    append_text(doc, &node.children, &mut out);
+    Cow::Owned(out)
+}
+
+/// Appends the text nodes of the subtrees of `children`, in document
+/// order.
+fn append_text(doc: &Document, children: &[NodeId], out: &mut String) {
+    for &c in children {
+        let Ok(node) = doc.node(c) else { continue };
+        match &node.kind {
+            NodeKind::Text { value } => out.push_str(value),
+            _ => append_text(doc, &node.children, out),
+        }
+    }
+}
+
+/// A set of node ids: one bit per arena slot.
+struct Seen(Vec<u64>);
+
+impl Seen {
+    fn new(arena_len: usize) -> Self {
+        Seen(vec![0; arena_len.div_ceil(64)])
+    }
+
+    /// Adds a live node's id; true when it was not yet in the set.
+    fn insert(&mut self, n: NodeId) -> bool {
+        let (word, bit) = (n.index() / 64, 1u64 << (n.index() % 64));
+        let fresh = self.0[word] & bit == 0;
+        self.0[word] |= bit;
+        fresh
     }
 }
 
@@ -355,5 +537,15 @@ mod tests {
             &q("/site/open_auctions/open_auction[bidder/increase>10]"),
         );
         assert_eq!(r.len(), 1);
+    }
+
+    #[test]
+    fn child_step_from_nested_contexts_keeps_context_order() {
+        let d = parse("<r><a><a><b>in</b></a><b>out</b></a></r>").unwrap();
+        // `//a` yields [outer a, inner a]; the outer a's child comes first
+        // although it follows the inner a's child in document order.
+        let r = eval(&d, &q("//a/b"));
+        let values: Vec<String> = r.iter().map(|&n| string_value(&d, n)).collect();
+        assert_eq!(values, vec!["out", "in"]);
     }
 }

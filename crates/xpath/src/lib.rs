@@ -12,7 +12,8 @@
 //!   `[price>10]`), combinable with `and` / `or` / `not(...)`;
 //! * [`Query::parse`] — a recursive-descent parser for that subset;
 //! * [`eval`](mod@eval) — evaluation of a query against a [`dtx_xml::Document`],
-//!   returning matching node ids in document order;
+//!   returning matching node ids context by context (document order
+//!   unless a child step runs from nested contexts; see the module docs);
 //! * [`UpdateOp`] / [`apply_update`] — the update language, with invertible
 //!   application: every update returns an [`UndoRecord`] that
 //!   [`undo_update`] can replay to roll the document back (the mechanism
