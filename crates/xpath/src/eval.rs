@@ -9,7 +9,9 @@
 //! descendant step from more than one context de-duplicates, through a
 //! bitset over the arena, since nested contexts share descendants.
 //! Predicates are existential, so each is checked per node by a
-//! depth-first walk that stops at the first witness.
+//! depth-first walk that stops at the first witness. Walks below a node
+//! keep an explicit stack, so call-stack use does not grow with document
+//! depth.
 //!
 //! # Result order
 //!
@@ -164,11 +166,9 @@ impl Pred<'_> {
     fn holds(&self, doc: &Document, n: NodeId) -> bool {
         match self {
             Pred::Never => false,
-            Pred::Exists(path) => reaches(doc, n, path, &|_| true),
+            Pred::Exists(path) => walk(doc, n, path, &|_| true),
             // XPath existential semantics: true if ANY target compares true.
-            Pred::Cmp { path, op, value } => {
-                reaches(doc, n, path, &|t| compare(doc, t, *op, value))
-            }
+            Pred::Cmp { path, op, value } => walk(doc, n, path, &|t| compare(doc, t, *op, value)),
             Pred::And(a, b) => a.holds(doc, n) && b.holds(doc, n),
             Pred::Or(a, b) => a.holds(doc, n) || b.holds(doc, n),
             Pred::Not(p) => !p.holds(doc, n),
@@ -251,30 +251,18 @@ fn descend(
     out: &mut Vec<NodeId>,
     seen: &mut Option<Seen>,
 ) {
-    for &c in children {
-        let Ok(node) = doc.node(c) else { continue };
+    preorder(doc, children, |c, node| {
         if step.test.accepts(Axis::Descendant, node)
             && seen.as_mut().is_none_or(|s| s.insert(c))
             && step.holds(doc, c)
         {
             out.push(c);
         }
-        if !node.children.is_empty() {
-            descend(doc, &node.children, step, out, seen);
-        }
-    }
+        false
+    });
 }
 
 /// Whether some node reached from `ctx` along `path` satisfies `hit`.
-fn reaches(doc: &Document, ctx: NodeId, path: &[RStep], hit: &impl Fn(NodeId) -> bool) -> bool {
-    // Along two descendant steps a depth-first walk would revisit the
-    // subtrees of nested matches; evaluate such paths set-at-a-time.
-    if path.iter().filter(|s| s.axis == Axis::Descendant).count() > 1 {
-        return run(doc, path, vec![ctx]).into_iter().any(hit);
-    }
-    walk(doc, ctx, path, hit)
-}
-
 fn walk(doc: &Document, ctx: NodeId, path: &[RStep], hit: &impl Fn(NodeId) -> bool) -> bool {
     let Some((step, rest)) = path.split_first() else {
         return hit(ctx);
@@ -283,29 +271,15 @@ fn walk(doc: &Document, ctx: NodeId, path: &[RStep], hit: &impl Fn(NodeId) -> bo
         return false;
     };
     if step.axis == Axis::Descendant {
-        walk_below(doc, &node.children, step, rest, hit)
+        preorder(doc, &node.children, |c, node| {
+            step.admits(doc, c, node) && walk(doc, c, rest, hit)
+        })
     } else {
         node.children.iter().any(|&c| {
             doc.node(c)
                 .is_ok_and(|child| step.admits(doc, c, child) && walk(doc, c, rest, hit))
         })
     }
-}
-
-/// [`walk`] for a descendant `step` over the subtrees of `children`.
-fn walk_below(
-    doc: &Document,
-    children: &[NodeId],
-    step: &RStep,
-    rest: &[RStep],
-    hit: &impl Fn(NodeId) -> bool,
-) -> bool {
-    children.iter().any(|&c| {
-        doc.node(c).is_ok_and(|node| {
-            (step.admits(doc, c, node) && walk(doc, c, rest, hit))
-                || walk_below(doc, &node.children, step, rest, hit)
-        })
-    })
 }
 
 fn compare(doc: &Document, n: NodeId, op: CmpOp, value: &Literal) -> bool {
@@ -356,13 +330,39 @@ fn text(doc: &Document, n: NodeId) -> Cow<'_, str> {
 /// Appends the text nodes of the subtrees of `children`, in document
 /// order.
 fn append_text(doc: &Document, children: &[NodeId], out: &mut String) {
-    for &c in children {
+    preorder(doc, children, |_, node| {
+        if let NodeKind::Text { value } = &node.kind {
+            out.push_str(value);
+        }
+        false
+    });
+}
+
+/// Visits the live nodes in the subtrees of `children` in document order
+/// until `visit` returns true, and reports whether it did. The walk keeps
+/// its own stack of child slices, so document depth costs heap, not call
+/// stack.
+fn preorder<'d>(
+    doc: &'d Document,
+    children: &'d [NodeId],
+    mut visit: impl FnMut(NodeId, &'d Node) -> bool,
+) -> bool {
+    let mut stack = vec![children];
+    while let Some(level) = stack.last_mut() {
+        let Some((&c, later)) = level.split_first() else {
+            stack.pop();
+            continue;
+        };
+        *level = later;
         let Ok(node) = doc.node(c) else { continue };
-        match &node.kind {
-            NodeKind::Text { value } => out.push_str(value),
-            _ => append_text(doc, &node.children, out),
+        if visit(c, node) {
+            return true;
+        }
+        if !node.children.is_empty() {
+            stack.push(&node.children);
         }
     }
+    false
 }
 
 /// A set of node ids: one bit per arena slot.
@@ -547,5 +547,21 @@ mod tests {
         let r = eval(&d, &q("//a/b"));
         let values: Vec<String> = r.iter().map(|&n| string_value(&d, n)).collect();
         assert_eq!(values, vec!["out", "in"]);
+    }
+
+    #[test]
+    fn documents_deeper_than_the_call_stack() {
+        const DEPTH: usize = 100_000;
+        let xml = format!(
+            "<r>{}<b>x</b>{}</r>",
+            "<a>".repeat(DEPTH),
+            "</a>".repeat(DEPTH)
+        );
+        let d = parse(&xml).unwrap();
+        let b = eval(&d, &q("//b"));
+        assert_eq!(b.len(), 1);
+        assert_eq!(eval(&d, &q("/r/a//b")), b);
+        assert_eq!(eval(&d, &q("/r[a//b=\"x\"]")), vec![d.root()]);
+        assert_eq!(string_value(&d, d.root()), "x");
     }
 }

@@ -17,6 +17,9 @@ use dtx_xpath::{apply_update, Query};
 use std::collections::BTreeMap;
 
 const SEED: u64 = 2009;
+/// Size of the XMark base document the benchmark generates
+/// (`dtx_bench::BASE_BYTES`).
+const BASE_BYTES: usize = 400_000;
 const SITES: usize = 4;
 
 /// The benchmark's client mix at `update_txn_pct` percent update
@@ -50,7 +53,7 @@ fn assert_same(doc: &Document, query: &Query, fragment: usize) -> usize {
 
 #[test]
 fn xmark_pools_match_reference_on_every_fragment() {
-    let base = generate(XmarkConfig::sized(dtx_bench::BASE_BYTES, SEED));
+    let base = generate(XmarkConfig::sized(BASE_BYTES, SEED));
     let frags = fragment_doc(&base, SITES);
     let mut docs: Vec<Document> = frags
         .fragments
